@@ -215,7 +215,7 @@ func TestFrameSubObservesFullSequence(t *testing.T) {
 }
 
 // TestEncodeSteadyStateAllocs pins pooled-buffer hygiene on the encode
-// path: with the scratch buffer, the png encoder state, and the frame
+// path: with the PNG writer state (compressor, scanline) and the frame
 // backing all pooled, steady-state encode+publish+consume must run in a
 // small constant number of allocations — independent of frame size or
 // how many frames came before.
@@ -257,11 +257,17 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 		cycle() // warm the pools
 	}
 	allocs := testing.AllocsPerRun(50, cycle)
-	// Render still allocates the RGBA staging image and the Frame header;
-	// everything proportional to compression state or PNG size is pooled.
-	// Measured ~10; the bound leaves headroom without letting a pool
-	// regression (one alloc per PNG byte-slice or per zlib window) hide.
-	if allocs > 24 {
-		t.Fatalf("steady-state encode cycle = %.1f allocs, want <= 24 (pool regression?)", allocs)
+	// The PNG is written straight into the pooled frame backing with no
+	// staging image; what remains is the Image and Frame headers and the
+	// backing's pool handle. Measured 3.0; the bound leaves headroom
+	// without letting a pool regression (one alloc per scanline, per CRC,
+	// per zlib window) hide. Under the race detector pools drop items at
+	// random (measured 8–16 there), so the pin keeps its earlier bound.
+	bound := 5.0
+	if raceEnabled {
+		bound = 24
+	}
+	if allocs > bound {
+		t.Fatalf("steady-state encode cycle = %.1f allocs, want <= %.0f (pool regression?)", allocs, bound)
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
-	"image/png"
-	"io"
 	"math"
-	"sync"
 
 	"geostreams/internal/exec"
 	"geostreams/internal/geom"
@@ -231,7 +228,9 @@ func unionExtent(chunks []*stream.Chunk) geom.Lattice {
 	return base.SubGrid(c0, r0, c1-c0+1, r1-r0+1)
 }
 
-// Colormap maps a normalized value in [0, 1] to a color.
+// Colormap maps a normalized value in [0, 1] to a color. Colours are
+// alpha-premultiplied, as color.RGBA always is; the built-in maps are
+// opaque.
 type Colormap func(t float64) color.RGBA
 
 // GrayMap is the linear grayscale colormap.
@@ -284,46 +283,15 @@ func ColormapByName(name string) (Colormap, error) {
 }
 
 // Render rasterizes the image to RGBA using a colormap over [vmin, vmax];
-// NaN cells become fully transparent.
+// NaN cells become fully transparent. It is the pixel reference the PNG
+// writer is tested against.
 func (im *Image) Render(cm Colormap, vmin, vmax float64) *image.RGBA {
 	out := image.NewRGBA(image.Rect(0, 0, im.Lat.W, im.Lat.H))
 	span := vmax - vmin
 	for row := 0; row < im.Lat.H; row++ {
 		for col := 0; col < im.Lat.W; col++ {
-			v := im.At(col, row)
-			if math.IsNaN(v) {
-				out.SetRGBA(col, row, color.RGBA{})
-				continue
-			}
-			t := 0.5
-			if span > 0 {
-				t = (v - vmin) / span
-			}
-			if t < 0 {
-				t = 0
-			}
-			if t > 1 {
-				t = 1
-			}
-			out.SetRGBA(col, row, cm(t))
+			out.SetRGBA(col, row, pixel(cm, im.At(col, row), vmin, span))
 		}
 	}
 	return out
-}
-
-// encStatePool recycles png encoder state (filter rows + compressor)
-// across frames; without it every encode re-allocates the zlib window,
-// which dominates steady-state delivery allocation at high frame rates.
-var encStatePool = sync.Pool{New: func() any { return new(png.EncoderBuffer) }}
-
-// pngStatePool adapts encStatePool to png.EncoderBufferPool.
-type pngStatePool struct{}
-
-func (pngStatePool) Get() *png.EncoderBuffer  { return encStatePool.Get().(*png.EncoderBuffer) }
-func (pngStatePool) Put(b *png.EncoderBuffer) { encStatePool.Put(b) }
-
-// EncodePNG writes the image as PNG using a colormap over [vmin, vmax].
-func (im *Image) EncodePNG(w io.Writer, cm Colormap, vmin, vmax float64) error {
-	enc := png.Encoder{BufferPool: pngStatePool{}}
-	return enc.Encode(w, im.Render(cm, vmin, vmax))
 }

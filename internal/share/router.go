@@ -71,6 +71,8 @@ type router struct {
 	group     *stream.Group
 	cancel    context.CancelFunc
 	srcCancel func() // stops the band subscription feed
+	in        <-chan *stream.Chunk
+	armOnce   sync.Once // starts run once the first rect is in the index
 
 	idx *cascade.Locked
 	st  *stream.Stats
@@ -131,12 +133,15 @@ func (m *Manager) bandRouter(band string) (*router, error) {
 	}
 	rt.srcInfo = src.Info
 	rt.srcCancel = stop
+	rt.in = src.C
 	if m.trace != nil {
 		// Router spans belong to the shared ring, like trunk operators: one
 		// routing stage serves many queries.
 		rt.st.AttachTrace(m.trace)
 	}
-	g.Go(func(ctx context.Context) error { return rt.run(ctx, src.C) })
+	// The run loop is not started here: a source that emits at once would
+	// be probed against an empty index and its first chunks counted as
+	// filtered. addOutlet arms the router after inserting its rect.
 	m.routers[band] = rt
 	return rt, nil
 }
@@ -178,6 +183,7 @@ func (rt *router) addOutlet(region geom.RectRegion) (*stream.Stream, *stream.Sta
 	rt.refs++
 	rt.mu.Unlock()
 	rt.idx.Insert(o.id, region.Rect)
+	rt.armOnce.Do(func() { rt.group.Go(func(ctx context.Context) error { return rt.run(ctx, rt.in) }) })
 	return &stream.Stream{Info: rt.srcInfo, C: o.out}, st, func() { rt.removeOutlet(o) }
 }
 
@@ -380,6 +386,14 @@ func (rt *router) send(ctx context.Context, o *outlet, c *stream.Chunk) {
 	select {
 	case o.out <- c:
 		o.st.CountOut(c)
+		select {
+		case <-o.done:
+			// The outlet detached and removeOutlet may already have
+			// drained it: nobody else reads o.out now, so the send just
+			// made must not be stranded there.
+			stream.DrainReleasing(o.out)
+		default:
+		}
 		c.Release()
 	case <-o.done:
 		c.Release() // the guard

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"geostreams/internal/exec"
+	"geostreams/internal/geom"
 	"geostreams/internal/query"
 	"geostreams/internal/stream"
 )
@@ -247,12 +249,29 @@ func TestRoutedCropSharing(t *testing.T) {
 	mb.Release()
 }
 
+// settledPooledLive returns the live pooled-chunk count once it has held
+// still for a while: mounts released by earlier tests tear down
+// asynchronously, and their late releases must not be read as this test's
+// balance.
+func settledPooledLive() int64 {
+	last := stream.PooledLive()
+	for still, deadline := 0, time.Now().Add(2*time.Second); still < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if n := stream.PooledLive(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	return last
+}
+
 // TestRoutedLeakFree: every pool-backed chunk the routed path creates goes
 // back to the pool — across full collection, a mount abandoned mid-stream,
 // and a composed plan reading a routed child through a tap.
 func TestRoutedLeakFree(t *testing.T) {
 	w := testWorkload(t)
-	base := stream.PooledLive()
+	base := settledPooledLive()
 
 	sub := newReplaySub(w, true)
 	m := NewManager(context.Background(), sub)
@@ -341,6 +360,100 @@ func TestRoutedEndedRouterNotReused(t *testing.T) {
 	}
 	first.Release()
 	second.Release()
+}
+
+// TestRouterArmsBeforePumping: a band router must not consume its source
+// before the first rect is in the index. With an ungated source the first
+// chunks are ready at once; probed against an empty index they would be
+// counted filtered and never reach the query.
+func TestRouterArmsBeforePumping(t *testing.T) {
+	w := testWorkload(t)
+	sub := newReplaySub(w, false) // ungated: chunks flow from Subscribe on
+	m := NewManager(context.Background(), sub)
+	q := "rselect(nir, rect(-121.6, 36.4, -120.4, 37.6))"
+	want, err := runPrivate(t, w, mustPlan(t, w, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.mu.Lock()
+	rt, err := m.bandRouter("nir")
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give an eager run loop every chance to start probing.
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); {
+		if n := rt.probes.Load() + rt.punctFanned.Load(); n != 0 {
+			t.Fatalf("router routed %d chunks before any rect was registered", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	m.mu.Lock()
+	out, _, remove := rt.addOutlet(geom.NewRectRegion(geom.R(-121.6, 36.4, -120.4, 37.6)))
+	m.mu.Unlock()
+	chunks, err := stream.Collect(context.Background(), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := query.FingerprintChunks(chunks)
+	for _, c := range chunks {
+		c.Release()
+	}
+	if d := want.Diff(got, "private", "routed"); d != "" {
+		t.Fatalf("ungated source lost chunks to an unarmed router:\n%s", d)
+	}
+	m.mu.Lock()
+	remove()
+	m.mu.Unlock()
+}
+
+// TestRouterSendAfterRemoveReleases: a send that races an outlet's removal
+// can win the select after removeOutlet has closed done and drained the
+// channel. The chunk must then be released, not stranded in a channel
+// nobody reads. Both select arms are ready on every send here, so 64
+// sends exercise the send-wins arm with certainty.
+func TestRouterSendAfterRemoveReleases(t *testing.T) {
+	w := testWorkload(t)
+	sub := newReplaySub(w, true) // gated: only the test's sends flow
+	m := NewManager(context.Background(), sub)
+	region := geom.NewRectRegion(geom.R(-121.6, 36.4, -120.4, 37.6))
+
+	m.mu.Lock()
+	rt, err := m.bandRouter("nir")
+	if err != nil {
+		m.mu.Unlock()
+		t.Fatal(err)
+	}
+	_, _, removeGone := rt.addOutlet(region)
+	_, _, removeKept := rt.addOutlet(region) // keeps the router alive
+	gone := rt.outlets[1]
+	removeGone()
+	m.mu.Unlock()
+
+	lat, err := geom.NewLattice(-121.5, 37.5, 0.1, -0.1, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		c, err := stream.NewPooledGridChunk(geom.Timestamp(i), lat, exec.AllocVals(lat.NumPoints()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Retain() // the test's own guard, so Refs stays readable
+		rt.send(context.Background(), gone, c)
+		if n := len(gone.out); n != 0 {
+			t.Fatalf("send %d: %d chunks stranded on a removed outlet", i, n)
+		}
+		if n := c.Refs(); n != 1 {
+			t.Fatalf("send %d: %d references left, want only the test's guard", i, n)
+		}
+		c.Release()
+	}
+	m.mu.Lock()
+	removeKept()
+	m.mu.Unlock()
 }
 
 // TestRoutedChurn: queries register and deregister while chunks flow. Run

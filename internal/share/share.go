@@ -123,6 +123,12 @@ type node struct {
 	stats []*stream.Stats
 }
 
+// reusable reports whether a new mount may attach to the node. The
+// watcher marks a node dead only once every goroutine of its group has
+// exited, so its fanout can finish while dead is still false; attaching
+// then would hand back an already-ended stream instead of a fresh trunk.
+func (n *node) reusable() bool { return !n.dead && !n.fan.Ended() }
+
 // Mount is one query's attachment to a shared trunk.
 type Mount struct {
 	// Sig is the canonical signature of the mounted subtree, Short its
@@ -166,7 +172,7 @@ func (m *Manager) Acquire(plan query.Node) (*Mount, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rootNode, rootRunning := m.nodes[query.Signature(plan)]
-	reused := rootRunning && !rootNode.dead
+	reused := rootRunning && rootNode.reusable()
 	root, err := m.acquire(plan, map[query.Node]*node{})
 	if err != nil {
 		return nil, err
@@ -208,7 +214,7 @@ func (m *Manager) acquire(plan query.Node, seen map[query.Node]*node) (*node, er
 		return n, nil
 	}
 	sig := query.Signature(plan)
-	if n, ok := m.nodes[sig]; ok && !n.dead {
+	if n, ok := m.nodes[sig]; ok && n.reusable() {
 		n.refs++
 		m.reused++
 		seen[plan] = n
@@ -352,7 +358,7 @@ func (m *Manager) Lookup(sig string) (refs int, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n, ok := m.nodes[sig]
-	if !ok || n.dead {
+	if !ok || !n.reusable() {
 		return 0, false
 	}
 	return n.refs, true

@@ -110,6 +110,14 @@ func (f *Fanout) TapCount() int {
 	return len(f.taps)
 }
 
+// Ended reports whether the broadcaster has finished; AddTap then returns
+// an already-closed tap.
+func (f *Fanout) Ended() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.closed
+}
+
 // AddTap attaches a new reader. If the fanout has already finished the
 // returned tap's stream is closed immediately.
 func (f *Fanout) AddTap() *Tap {
