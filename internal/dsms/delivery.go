@@ -107,6 +107,12 @@ type deliveryStats struct {
 	frames       atomic.Int64
 	frameBytes   atomic.Int64
 	seriesPoints atomic.Int64
+	// assembled counts frames by the path they took: index
+	// raster.Streamed for frames encoded as their rows arrived, each other
+	// raster.Fallback for frames encoded at end-of-sector instead.
+	// alphaRewrites counts streamed frames restarted as RGBA.
+	assembled     [raster.NumFallbacks]atomic.Int64
+	alphaRewrites atomic.Int64
 	// age observes, per delivered data chunk, the seconds from instrument
 	// ingest to arrival at the delivery stage — the end-to-end data
 	// freshness of the whole pipeline. sloBurn counts delivered data
@@ -246,94 +252,88 @@ type OperatorStats struct {
 	LatencyP99     float64 `json:"latency_p99_seconds"`
 }
 
-// renderFrame encodes one assembled image into a Frame whose PNG is
-// appended straight into a pngBufPool backing, recycling the image's value
-// buffer. The returned frame carries one reference, owned by the caller
-// (normally handed to frameHub.publish).
-func renderFrame(img *raster.Image, cm raster.Colormap, vmin, vmax float64) (*Frame, error) {
-	backing := pngBufPool.Get().(*[]byte)
-	png, err := img.AppendPNG((*backing)[:0], cm, vmin, vmax)
-	if err != nil {
-		pngBufPool.Put(backing)
-		return nil, err
-	}
-	f := &Frame{Sector: img.T, Width: img.Lat.W, Height: img.Lat.H, PNG: png, pooled: true}
+// pngBuffers lends the frame encoder pngBufPool backings; pngLive counts
+// every backing checked out, including one a sector is still streaming
+// into.
+type pngBuffers struct{}
+
+func (pngBuffers) Get() []byte {
 	pngLive.Add(1)
-	// The assembled frame is delivery-private and fully rendered into the
-	// PNG; its value buffer goes back to the grid-buffer pool.
-	img.Recycle()
-	f.refs.Store(1)
-	return f, nil
+	return (*pngBufPool.Get().(*[]byte))[:0]
 }
 
-// deliver consumes the pipeline output: raster outputs are assembled into
-// frames and PNG-encoded; point outputs append to the series buffer.
+func (pngBuffers) Put(b []byte) {
+	b = b[:0]
+	pngLive.Add(-1)
+	pngBufPool.Put(&b)
+}
+
+// publishFrame hands one encoded frame to the render-once hub: it was
+// encoded exactly one time and every subscriber — long-poll, WebSocket,
+// in-process — reads the same pooled-backed bytes through its own cursor
+// (fanout.go).
+func (r *Registered) publishFrame(ef raster.EncodedFrame) {
+	f := &Frame{Sector: ef.T, Width: ef.W, Height: ef.H, PNG: ef.PNG, pooled: true}
+	f.refs.Store(1)
+	r.frames.publish(f)
+	r.deliv.frames.Add(1)
+	r.deliv.frameBytes.Add(int64(len(ef.PNG)))
+	r.deliv.assembled[ef.Fallback].Add(1)
+	if ef.Rewrote {
+		r.deliv.alphaRewrites.Add(1)
+	}
+}
+
+// deliver consumes the pipeline output: raster outputs are encoded into
+// PNG frames as their rows arrive; point outputs append to the series
+// buffer.
 func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
-	asm := raster.NewAssembler()
 	// The frame queue must close on every exit path — encode failures,
-	// assembler errors, cancellation — or clients blocked in NextFrame hang
-	// until their wait expires on a query that is already dead. Likewise
-	// the assembler's partially accumulated sector state is discarded so an
-	// errored pipeline doesn't pin chunk memory.
+	// cancellation — or clients blocked in NextFrame hang until their wait
+	// expires on a query that is already dead. Likewise the encoder's
+	// partially streamed sectors are discarded so an errored pipeline
+	// doesn't pin chunk memory, compressors or frame backings.
 	defer r.frames.close()
-	defer asm.Discard()
-	// On an early exit (encode/assembler error, cancellation) chunks may
-	// still be queued on the output channel; hand their buffers back.
+	// On an early exit (encode error, cancellation) chunks may still be
+	// queued on the output channel; hand their buffers back.
 	defer stream.DrainReleasing(out.C)
 	cm, err := raster.ColormapByName(r.opts.Colormap)
 	if err != nil {
 		return err
 	}
-	// A frame assembles from many chunks; the encode span is attributed to
-	// the most recent traced chunk that fed the assembler — close enough
-	// for a per-sector product, and free for untraced traffic.
+	enc := raster.NewFrameEncoder(out.Info, cm, r.opts.VMin, r.opts.VMax, pngBuffers{})
+	defer enc.Discard()
+	// A frame encodes from many chunks; the encode span — the work left at
+	// end-of-sector — is attributed to the most recent traced chunk that
+	// fed the encoder: close enough for a per-sector product, and free for
+	// untraced traffic.
 	var lastTrace uint64
 	var lastT int64
 	var lastPunct bool
-	encode := func(img *raster.Image) error {
-		var begin time.Time
-		if lastTrace != 0 {
-			begin = time.Now()
-		}
-		// Render once: the frame is encoded exactly one time here and every
-		// subscriber — long-poll, WebSocket, in-process — reads the same
-		// pooled-backed bytes through its own cursor (fanout.go).
-		f, err := renderFrame(img, cm, r.opts.VMin, r.opts.VMax)
-		if err != nil {
-			return err
-		}
-		n := len(f.PNG)
-		r.frames.publish(f)
-		r.deliv.frames.Add(1)
-		r.deliv.frameBytes.Add(int64(n))
-		if lastTrace != 0 {
-			r.trace.Record(lastTrace, trace.StageEncode, "png",
-				begin, time.Since(begin), lastT, lastPunct)
-		}
-		return nil
-	}
 	for {
 		select {
 		case c, ok := <-out.C:
 			if !ok {
-				imgs, err := asm.Flush()
-				if err != nil {
-					return err
+				begin := time.Now()
+				frames, err := enc.Flush()
+				for _, ef := range frames {
+					r.publishFrame(ef)
 				}
-				for _, img := range imgs {
-					if err := encode(img); err != nil {
-						return err
-					}
+				if lastTrace != 0 && len(frames) > 0 {
+					r.trace.Record(lastTrace, trace.StageEncode, "png",
+						begin, time.Since(begin), lastT, lastPunct)
 				}
-				return nil
+				return err
 			}
 			// Chunk fields are captured before ownership moves on: the
-			// assembler consumes the reference in Add, and a released
+			// encoder consumes the reference in Add, and a released
 			// pool-backed chunk's fields are unreadable.
 			tr, tT, punct := c.Trace, int64(c.T), !c.IsData()
 			var begin time.Time
-			if tr != 0 {
+			if tr != 0 || (punct && lastTrace != 0) {
 				begin = time.Now()
+			}
+			if tr != 0 {
 				lastTrace, lastT, lastPunct = tr, tT, punct
 			}
 			if c.IsData() && c.Ingest != 0 {
@@ -360,13 +360,15 @@ func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
 				}
 				continue
 			}
-			imgs, err := asm.Add(c)
+			ef, done, err := enc.Add(c)
 			if err != nil {
 				return err
 			}
-			for _, img := range imgs {
-				if err := encode(img); err != nil {
-					return err
+			if done {
+				r.publishFrame(ef)
+				if lastTrace != 0 {
+					r.trace.Record(lastTrace, trace.StageEncode, "png",
+						begin, time.Since(begin), lastT, lastPunct)
 				}
 			}
 			if tr != 0 {

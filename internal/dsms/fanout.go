@@ -41,10 +41,8 @@ func (f *Frame) Release() {
 		panic("dsms: Frame over-released")
 	}
 	if n == 0 && f.pooled {
-		b := f.PNG[:0]
+		pngBuffers{}.Put(f.PNG)
 		f.PNG = nil
-		pngLive.Add(-1)
-		pngBufPool.Put(&b)
 	}
 }
 

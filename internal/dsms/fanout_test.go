@@ -13,6 +13,7 @@ import (
 
 	"geostreams/internal/geom"
 	"geostreams/internal/raster"
+	"geostreams/internal/stream"
 )
 
 // TestConcurrentPollersEachSeeEveryFrame pins the frame-stealing bug: the
@@ -214,60 +215,103 @@ func TestFrameSubObservesFullSequence(t *testing.T) {
 	}
 }
 
-// TestEncodeSteadyStateAllocs pins pooled-buffer hygiene on the encode
-// path: with the PNG writer state (compressor, scanline) and the frame
-// backing all pooled, steady-state encode+publish+consume must run in a
-// small constant number of allocations — independent of frame size or
-// how many frames came before.
-func TestEncodeSteadyStateAllocs(t *testing.T) {
-	lat, err := geom.NewLattice(0, 0, 1, 1, 64, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+// encodeCycle returns one steady-state encode+publish+consume cycle
+// through deliver's encoder path: the sector's data chunks (built once and
+// reused — plain chunks, so the encoder's Release is a no-op), then its
+// end-of-sector, then publishFrame and a subscriber reading the frame.
+func encodeCycle(t *testing.T, lat geom.Lattice, patches []geom.Lattice) func() {
+	t.Helper()
 	cm, err := raster.ColormapByName("gray")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newFrameHub(4)
-	r := &Registered{frames: h}
+	var chunks []*stream.Chunk
+	for _, p := range patches {
+		vals := make([]float64, p.NumPoints())
+		for i := range vals {
+			vals[i] = float64(i % 251)
+		}
+		c, err := stream.NewGridChunk(1, p, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, c)
+	}
+	eos := stream.NewEndOfSector(1, lat)
+	info := stream.Info{SectorGeom: lat, HasSectorMeta: true}
+	enc := raster.NewFrameEncoder(info, cm, 0, 255, pngBuffers{})
+	r := &Registered{frames: newFrameHub(4), deliv: newDeliveryStats()}
 	sub := r.SubscribeFrames()
-	defer sub.Close()
-	var sec int64
-	cycle := func() {
-		img, err := raster.NewImage(geom.Timestamp(sec), lat)
-		if err != nil {
-			t.Fatal(err)
+	t.Cleanup(sub.Close)
+	return func() {
+		for _, c := range chunks {
+			if _, _, err := enc.Add(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for i := range img.Vals {
-			img.Vals[i] = float64(i % 251)
+		ef, ok, err := enc.Add(eos)
+		if err != nil || !ok {
+			t.Fatalf("end-of-sector gave no frame: %v", err)
 		}
-		f, err := renderFrame(img, cm, 0, 255)
-		if err != nil {
-			t.Fatal(err)
+		if ef.Fallback != raster.Streamed {
+			t.Fatalf("frame took the %s path", ef.Fallback)
 		}
-		h.publish(f)
+		r.publishFrame(ef)
 		got, ok := sub.Next(time.Second)
 		if !ok {
 			t.Fatal("subscriber starved")
 		}
 		got.Release()
-		sec++
 	}
+}
+
+// checkSteadyAllocs warms the pools with a few cycles, then pins the
+// cycle's allocation count. Under the race detector pools drop items at
+// random (measured 8–16 there), so the pin keeps its earlier bound.
+func checkSteadyAllocs(t *testing.T, cycle func(), bound float64) {
+	t.Helper()
 	for i := 0; i < 8; i++ {
 		cycle() // warm the pools
 	}
 	allocs := testing.AllocsPerRun(50, cycle)
-	// The PNG is written straight into the pooled frame backing with no
-	// staging image; what remains is the Image and Frame headers and the
-	// backing's pool handle. Measured 3.0; the bound leaves headroom
-	// without letting a pool regression (one alloc per scanline, per CRC,
-	// per zlib window) hide. Under the race detector pools drop items at
-	// random (measured 8–16 there), so the pin keeps its earlier bound.
-	bound := 5.0
+	t.Logf("%.1f allocs per cycle", allocs)
 	if raceEnabled {
 		bound = 24
 	}
 	if allocs > bound {
 		t.Fatalf("steady-state encode cycle = %.1f allocs, want <= %.0f (pool regression?)", allocs, bound)
 	}
+}
+
+// TestEncodeSteadyStateAllocs pins pooled-buffer hygiene on the encode
+// path for a whole-frame sector (one chunk, the image-by-image
+// organisation): with the PNG writer state (compressor, scanline), the
+// frame values and the frame backing all pooled, steady-state
+// encode+publish+consume must run in a small constant number of
+// allocations — independent of frame size or how many frames came before.
+// What remains is the Frame header and the backing's pool handle; the
+// bound leaves headroom without letting a pool regression (one alloc per
+// scanline, per CRC, per zlib window) hide.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	lat, err := geom.NewLattice(0, 0, 1, 1, 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSteadyAllocs(t, encodeCycle(t, lat, []geom.Lattice{lat}), 5)
+}
+
+// TestEncodeStreamedSectorAllocs is the row-by-row variant: a sector of
+// 48 row chunks, each making the row before it final, plus end-of-sector.
+// Streaming must not add allocations per row: measured 2.0, as for the
+// whole frame.
+func TestEncodeStreamedSectorAllocs(t *testing.T) {
+	lat, err := geom.NewLattice(0, 0, 1, 1, 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]geom.Lattice, lat.H)
+	for r := range rows {
+		rows[r] = lat.Row(r)
+	}
+	checkSteadyAllocs(t, encodeCycle(t, lat, rows), 4)
 }

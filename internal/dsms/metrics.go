@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"geostreams/internal/obs"
+	"geostreams/internal/raster"
 )
 
 // Collect emits the server's telemetry in Prometheus exposition form. It is
@@ -286,6 +287,14 @@ func (s *Server) Collect(e *obs.Exposition) {
 		e.Counter("geostreams_delivery_frames_total",
 			"PNG frames assembled and queued for the client.",
 			float64(ds.Frames), q)
+		for why := raster.OutOfOrder; why < raster.NumFallbacks; why++ {
+			e.Counter("geostreams_delivery_frames_assembled_total",
+				"Frames encoded at end-of-sector instead of as their rows arrived, by reason.",
+				float64(r.deliv.assembled[why].Load()), q, obs.L("reason", why.String()))
+		}
+		e.Counter("geostreams_delivery_alpha_rewrites_total",
+			"Streamed frames restarted as RGBA from row 0 when a NaN or translucent colour appeared.",
+			float64(r.deliv.alphaRewrites.Load()), q)
 		e.Counter("geostreams_delivery_frame_bytes_total",
 			"Encoded PNG bytes queued for the client.",
 			float64(ds.FrameBytes), q)
@@ -311,8 +320,11 @@ func (s *Server) Collect(e *obs.Exposition) {
 	}
 
 	e.Gauge("geostreams_fanout_png_live",
-		"Encoded PNG backings checked out of the frame pool across all queries.",
+		"Encoded PNG backings checked out of the frame pool across all queries, including frames still being streamed.",
 		float64(pngLive.Load()))
+	e.Gauge("geostreams_delivery_png_writers_live",
+		"PNG writers, each holding one deflate compressor, checked out across all queries: one per sector being encoded.",
+		float64(raster.WritersLive()))
 
 	wss := s.WSStats()
 	e.Gauge("geostreams_ws_connections",

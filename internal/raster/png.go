@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // The frame encoder writes PNG in one pass: each row of values is coloured
@@ -66,12 +67,23 @@ func straight(c color.RGBA) (r, g, b, a uint8) {
 }
 
 // pngWriter is the pooled encode state: the deflate compressor (the one
-// large allocation, its window and hash tables) and the scanline buffer.
-// Pools fill on the first frame, never at construction.
+// large allocation, its window and hash tables) and the scanline buffer,
+// plus the geometry and colouring of the stream it is writing. Pools fill
+// on the first frame, never at construction.
 type pngWriter struct {
 	zw   *zlib.Writer
 	out  appendWriter // the compressor's sink: the caller's dst
 	line []byte
+
+	start    int // offset of the PNG signature in out.b
+	idat     int // offset of the IDAT length field in out.b
+	w, h     int
+	alpha    bool
+	rewrote  bool // the stream restarted as RGBA after starting as RGB
+	cm       Colormap
+	vmin     float64
+	span     float64
+	rowsDone int // rows compressed so far
 }
 
 // appendWriter is an io.Writer appending to a byte slice.
@@ -82,7 +94,29 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var pngWriters = sync.Pool{New: func() any { return new(pngWriter) }}
+var (
+	pngWriters = sync.Pool{New: func() any { return new(pngWriter) }}
+	// writersLive counts pngWriters checked out of the pool, each holding
+	// a compressor; leak tests and /metrics watch it return to baseline.
+	writersLive atomic.Int64
+)
+
+func getWriter() *pngWriter {
+	writersLive.Add(1)
+	return pngWriters.Get().(*pngWriter)
+}
+
+func putWriter(pw *pngWriter) {
+	pw.out.b = nil // the pool must not pin the caller's buffer
+	pw.cm = nil
+	writersLive.Add(-1)
+	pngWriters.Put(pw)
+}
+
+// WritersLive reports how many PNG writers — each holding one deflate
+// compressor — are checked out: one per frame being encoded, including
+// every sector a FrameEncoder is streaming.
+func WritersLive() int64 { return writersLive.Load() }
 
 // AppendPNG appends the image, coloured by cm over [vmin, vmax], to dst as
 // a PNG stream and returns the extended slice. Pixels decode to exactly
@@ -94,11 +128,8 @@ func (im *Image) AppendPNG(dst []byte, cm Colormap, vmin, vmax float64) ([]byte,
 	if w <= 0 || h <= 0 || len(im.Vals) < w*h {
 		return dst, fmt.Errorf("raster: cannot encode %dx%d image with %d values", w, h, len(im.Vals))
 	}
-	pw := pngWriters.Get().(*pngWriter)
-	defer func() {
-		pw.out.b = nil // the pool must not pin the caller's buffer
-		pngWriters.Put(pw)
-	}()
+	pw := getWriter()
+	defer putWriter(pw)
 	alpha := false
 	for _, v := range im.Vals[:w*h] {
 		if math.IsNaN(v) {
@@ -106,62 +137,80 @@ func (im *Image) AppendPNG(dst []byte, cm Colormap, vmin, vmax float64) ([]byte,
 			break
 		}
 	}
-	if out, ok := pw.encode(dst, im, cm, vmin, vmax, alpha); ok {
-		return out, nil
-	}
-	// An opaque-looking frame met a translucent colour: the colormap
-	// itself carries alpha, so start over with an alpha channel.
-	out, _ := pw.encode(dst, im, cm, vmin, vmax, true)
-	return out, nil
+	pw.begin(dst, w, h, alpha, cm, vmin, vmax)
+	pw.rows(im.Vals, h)
+	return pw.finish(), nil
 }
 
-// encode appends one PNG stream to dst. Without alpha it gives up,
-// returning false, at the first colour that is not opaque.
-func (pw *pngWriter) encode(dst []byte, im *Image, cm Colormap, vmin, vmax float64, alpha bool) ([]byte, bool) {
-	w, h := im.Lat.W, im.Lat.H
+// begin starts a w×h PNG stream appended to dst: the signature, IHDR and
+// the header of the one IDAT chunk, whose length finish patches in once
+// the deflate stream written behind it is complete.
+func (pw *pngWriter) begin(dst []byte, w, h int, alpha bool, cm Colormap, vmin, vmax float64) {
+	pw.start, pw.w, pw.h, pw.alpha, pw.rewrote = len(dst), w, h, alpha, false
+	pw.cm, pw.vmin, pw.span = cm, vmin, vmax-vmin
+	pw.restart(dst)
+}
+
+// restart writes the stream header at pw.start in dst, sized for the
+// current colour type, and points a fresh deflate stream behind it.
+func (pw *pngWriter) restart(dst []byte) {
 	bpp, ct := 3, byte(colorTypeRGB)
-	if alpha {
+	if pw.alpha {
 		bpp, ct = 4, colorTypeRGBA
 	}
 	var ihdr [13]byte
-	binary.BigEndian.PutUint32(ihdr[0:], uint32(w))
-	binary.BigEndian.PutUint32(ihdr[4:], uint32(h))
+	binary.BigEndian.PutUint32(ihdr[0:], uint32(pw.w))
+	binary.BigEndian.PutUint32(ihdr[4:], uint32(pw.h))
 	ihdr[8] = 8 // bits per channel; compression, filter, interlace stay 0
 	ihdr[9] = ct
-	dst = append(dst, pngSignature...)
+	dst = append(dst[:pw.start], pngSignature...)
 	dst = appendChunk(dst, "IHDR", ihdr[:])
-
-	// One IDAT chunk: its length is patched in once the deflate stream,
-	// written straight behind the header, is complete.
-	idat := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 'I', 'D', 'A', 'T')
-	pw.out.b = dst
+	pw.idat = len(dst)
+	pw.out.b = append(dst, 0, 0, 0, 0, 'I', 'D', 'A', 'T')
 	if pw.zw == nil {
 		pw.zw, _ = zlib.NewWriterLevel(&pw.out, zlib.BestSpeed) // a valid level never errs
 	} else {
 		pw.zw.Reset(&pw.out)
 	}
-	n := 1 + w*bpp
+	n := 1 + pw.w*bpp
 	if cap(pw.line) < n {
 		pw.line = make([]byte, n)
 	}
-	line := pw.line[:n]
-	line[0] = filterSub
-	span := vmax - vmin
-	for row := 0; row < h; row++ {
-		vals := im.Vals[row*w : (row+1)*w]
-		if alpha {
-			subRGBA(line[1:], vals, cm, vmin, span)
-		} else if !subRGB(line[1:], vals, cm, vmin, span) {
-			return nil, false
+	pw.line = pw.line[:n]
+	pw.line[0] = filterSub
+	pw.rowsDone = 0
+}
+
+// rows colours and compresses rows [pw.rowsDone, to) of vals, a row-major
+// frame pw.w wide. An RGB stream that meets a colour that is not opaque
+// (a NaN cell or a translucent colour) starts over as RGBA and rewrites
+// every earlier row from vals, so the caller must keep rows it has already
+// written unchanged.
+func (pw *pngWriter) rows(vals []float64, to int) {
+	w := pw.w
+	for pw.rowsDone < to {
+		row := vals[pw.rowsDone*w : (pw.rowsDone+1)*w]
+		if pw.alpha {
+			subRGBA(pw.line[1:], row, pw.cm, pw.vmin, pw.span)
+		} else if !subRGB(pw.line[1:], row, pw.cm, pw.vmin, pw.span) {
+			pw.alpha, pw.rewrote = true, true
+			pw.restart(pw.out.b)
+			continue
 		}
-		_, _ = pw.zw.Write(line) // appendWriter never fails
+		_, _ = pw.zw.Write(pw.line) // appendWriter never fails
+		pw.rowsDone++
 	}
-	_ = pw.zw.Close() // nor can the flush
-	dst = pw.out.b
-	binary.BigEndian.PutUint32(dst[idat:], uint32(len(dst)-idat-8))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Update(0, crc32.IEEETable, dst[idat+4:]))
-	return appendChunk(dst, "IEND", nil), true
+}
+
+// finish closes the deflate stream and appends the IDAT CRC and IEND,
+// returning the completed dst. Every row must have been written.
+func (pw *pngWriter) finish() []byte {
+	_ = pw.zw.Close() // appendWriter cannot fail the flush
+	dst := pw.out.b
+	pw.out.b = nil
+	binary.BigEndian.PutUint32(dst[pw.idat:], uint32(len(dst)-pw.idat-8))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Update(0, crc32.IEEETable, dst[pw.idat+4:]))
+	return appendChunk(dst, "IEND", nil)
 }
 
 // subRGB colours one row into Sub-filtered RGB bytes, reporting false at

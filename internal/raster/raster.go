@@ -49,9 +49,12 @@ func (im *Image) Recycle() {
 }
 
 // Assembler accumulates the chunks of each sector into full frames,
-// releasing a frame when its end-of-sector punctuation arrives (or when a
-// newer sector begins). Chunks may arrive as rows, partial patches, or
-// whole frames; point chunks are rasterized by nearest cell.
+// releasing a frame only when its end-of-sector punctuation arrives, or on
+// Flush for sectors still pending when the stream ends; a newer sector
+// beginning releases nothing, so sectors may interleave. Chunks may arrive
+// as rows, partial patches, or whole frames; point chunks are rasterized
+// by nearest cell. The delivery stage streams its frames with a
+// FrameEncoder, which falls back to an Assembler.
 type Assembler struct {
 	// Extent optionally fixes the frame lattice; when zero the frame
 	// lattice comes from sector punctuation or the union of patches.
